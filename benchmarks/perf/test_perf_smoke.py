@@ -1,8 +1,9 @@
 """Perf smoke test: catch large kernel/scheduler slowdowns in CI.
 
 The 200-job SWIM run completes in ~0.35s on a 2026 dev box after the
-locality-index + kernel optimization pass (it took ~1.0s before it; see
-``BENCH_swim.json``).  The ceiling below leaves generous headroom for
+locality-index + kernel optimization pass (it took ~1.0s before it).
+``python3 perfbench/run.py`` measures properly (recorded runs in
+``perfbench/baseline.json``).  The ceiling below leaves generous headroom for
 slower CI machines while still failing if the run regresses by more
 than ~2x on comparable hardware — e.g. if locality lookups fall back to
 per-heartbeat cache polling or the event queue loses its packed keys.
@@ -17,7 +18,7 @@ from repro.workloads.serve import ServeConfig, run_serve
 SMOKE_CEILING_SECONDS = 1.5
 
 #: Budget for the 1200-request heat-policy serve run (~0.09s on a 2026
-#: dev box; see ``BENCH_serve.json``).  The heat path adds a read
+#: dev box; ``perfbench/baseline.json`` has the benchmark's serve runs).  The heat path adds a read
 #: listener on every NameNode read and a migrator tick loop — this
 #: ceiling fails CI if either becomes a per-event hot spot.
 SERVE_CEILING_SECONDS = 1.0
@@ -35,7 +36,7 @@ def test_swim_200_jobs_within_wall_clock_budget():
     clear_cache()
     assert best < SMOKE_CEILING_SECONDS, (
         f"200-job SWIM run took {best:.2f}s (budget {SMOKE_CEILING_SECONDS}s); "
-        "see benchmarks/perf/bench_swim.py to measure properly"
+        "run python3 perfbench/run.py --workload swim to measure properly"
     )
 
 
@@ -48,6 +49,6 @@ def test_serve_1200_requests_within_wall_clock_budget():
         best = min(best, time.perf_counter() - start)
     assert best < SERVE_CEILING_SECONDS, (
         f"1200-request serve run took {best:.2f}s (budget "
-        f"{SERVE_CEILING_SECONDS}s); see benchmarks/perf/bench_serve.py "
-        "to measure properly"
+        f"{SERVE_CEILING_SECONDS}s); run python3 perfbench/run.py "
+        "--workload serve to measure properly"
     )

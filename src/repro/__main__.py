@@ -125,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cProfile one SWIM run (the perf-tuning entry point)",
         description=(
             "Run run_swim() under cProfile and print the hottest functions. "
-            "Wall-clock comparisons against a baseline commit belong to "
-            "benchmarks/perf/bench_swim.py; this command answers the "
-            "follow-up question of *where* the time goes."
+            "Wall-clock measurement belongs to python3 perfbench/run.py "
+            "(recorded in perfbench/baseline.json); this command answers "
+            "the follow-up question of *where* the time goes."
         ),
     )
     profile.add_argument(

@@ -1,15 +1,18 @@
-"""IgnemMaster: determines *what* migrates, hosted in the NameNode.
+"""The Ignem master: determines *what* migrates, hosted in the NameNode.
 
 Clients (job submitters) send the master the list of files a job will
 soon read.  The master maps files to blocks via the NameNode, picks ONE
 replica per block uniformly at random (paper III-A2 — network bandwidth
-is plentiful, so one in-memory copy suffices), batches the resulting
-per-slave command lists, and ships them over (simulated) RPC.
+is plentiful, so one in-memory copy suffices), and ships per-slave
+command batches.  The decisions live in :class:`MasterCore`, which does
+no I/O (the Sans-I/O pattern); :class:`IgnemMaster` drives it in the
+simulator and :class:`~repro.transport.real.MasterService` over asyncio.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
+from typing import Sequence, Tuple
 
 from ..dfs.blocks import Block
 from ..dfs.namenode import NameNode
@@ -60,10 +63,144 @@ def dispatch_master_message(master, msg):
     raise TypeError(f"master cannot handle {type(msg).__name__}")
 
 
-class IgnemMaster:
-    """The migration coordinator.
+class MasterCore:
+    """The master's decisions, with no clock, NameNode or transport.
 
-    RPC/workload tallies live in a :class:`MetricsRegistry` under
+    Every request names an *owner*: a job id on the hint path, or a
+    heat policy's pseudo job for block promotions.  :meth:`migrate`
+    picks the replicas to migrate and remembers them per
+    ``(owner, block_id)``; :meth:`evict` routes an owner's eviction to
+    exactly those nodes.  Both return one command per node, in the
+    order the nodes were first chosen.
+    """
+
+    def __init__(self, rng: RandomSource, config: IgnemConfig):
+        self.rng = rng
+        self.config = config
+        #: (owner, block_id) -> nodes chosen for its migration, so
+        #: eviction commands go exactly where the block went.
+        self.assignments: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+
+    def migrate(
+        self,
+        owner: str,
+        placements: Iterable[Tuple[Block, Sequence[str]]],
+        job_input_bytes: float,
+        submitted_at: float,
+        implicit_eviction: bool = False,
+        dst_tier: Optional[str] = None,
+    ) -> Dict[str, MigrateCommand]:
+        """Choose replicas for ``placements`` — ``(block, usable
+        holders)`` pairs in the job's read order — and batch the work.
+
+        ``dst_tier`` names the tier the blocks should land in; ``None``
+        uses the configured default (``mem`` — the paper's design).
+        """
+        config = self.config
+        if dst_tier is None:
+            dst_tier = config.migration_tier
+        elif dst_tier not in config.destination_tiers():
+            raise ValueError(
+                f"{dst_tier!r} is not a configured migration destination "
+                f"(destinations: {', '.join(config.destination_tiers())})"
+            )
+        replicas = config.replicas_to_migrate
+        sample = self.rng.sample
+        assignments = self.assignments
+        batches: Dict[str, List[MigrationWorkItem]] = {}
+        order_hint = 0
+        for block, usable in placements:
+            if not usable:
+                continue
+            key = (owner, block.block_id)
+            # A duplicate request (client retry) must reuse the earlier
+            # replica choice, or the eviction would only reach the
+            # latest choice and leak the first.
+            chosen = [
+                node for node in assignments.get(key, ()) if node in usable
+            ] or sample(sorted(usable), min(replicas, len(usable)))
+            assignments[key] = tuple(chosen)
+            for node in chosen:
+                batches.setdefault(node, []).append(
+                    MigrationWorkItem(
+                        block=block,
+                        job_id=owner,
+                        job_input_bytes=job_input_bytes,
+                        job_submitted_at=submitted_at,
+                        implicit_eviction=implicit_eviction,
+                        order_hint=order_hint,
+                        dst_tier=dst_tier,
+                    )
+                )
+            order_hint += 1
+        return {n: MigrateCommand(owner, tuple(v)) for n, v in batches.items()}
+
+    def evict(
+        self, owner: str, block_ids: Iterable[str]
+    ) -> Dict[str, EvictCommand]:
+        """Route ``owner``'s eviction of ``block_ids`` to the nodes its
+        migration chose, forgetting the choice."""
+        pop = self.assignments.pop
+        batches: Dict[str, List[str]] = {}
+        for block_id in block_ids:
+            for node in pop((owner, block_id), ()):
+                batches.setdefault(node, []).append(block_id)
+        return {n: EvictCommand(owner, tuple(v)) for n, v in batches.items()}
+
+    def reroute(
+        self,
+        command: MigrateCommand,
+        failed_node: str,
+        usable: Iterable[Sequence[str]],
+    ) -> Tuple[Dict[str, MigrateCommand], int]:
+        """Re-route the items of a command ``failed_node`` never
+        accepted (III-A5): each item moves to one random holder from
+        its entry in ``usable``.  Returns the new batches and how many
+        items had no holder left and were abandoned."""
+        owner = command.job_id
+        batches: Dict[str, List[MigrationWorkItem]] = {}
+        abandoned = 0
+        for item, holders in zip(command.items, usable):
+            key = (owner, item.block_id)
+            kept = tuple(
+                n for n in self.assignments.get(key, ()) if n != failed_node
+            )
+            if holders:
+                chosen = self.rng.choice(sorted(holders))
+                # Another replica of this block may already be migrating.
+                if chosen not in kept:
+                    kept += (chosen,)
+                    batches.setdefault(chosen, []).append(item)
+            else:
+                # Crash-safe abandonment: the job reads from disk instead.
+                abandoned += 1
+            self._assign(key, kept)
+        commands = {n: MigrateCommand(owner, tuple(v)) for n, v in batches.items()}
+        return commands, abandoned
+
+    def forget_node(self, node: str) -> None:
+        """Drop ``node`` from every choice: its slave lost its state."""
+        for key, nodes in list(self.assignments.items()):
+            if node in nodes:
+                self._assign(key, tuple(n for n in nodes if n != node))
+
+    def reset(self) -> None:
+        """Forget every choice: the master process died."""
+        self.assignments.clear()
+
+    def _assign(self, key: Tuple[str, str], nodes: Tuple[str, ...]) -> None:
+        if nodes:
+            self.assignments[key] = nodes
+        else:
+            self.assignments.pop(key, None)
+
+
+class IgnemMaster:
+    """The migration coordinator: :class:`MasterCore`'s simulator driver.
+
+    It looks replica holders up in the NameNode and ships the core's
+    batches as acknowledged RPCs with retry and re-routing.  RPC and
+    workload tallies live in a :class:`MetricsRegistry` under
     ``ignem.master.*`` (shared with the rest of the cluster when built
     through :class:`~repro.cluster.Cluster`), read via
     ``master.metrics.value("ignem.master.<event>")``.
@@ -81,8 +218,8 @@ class IgnemMaster:
     ):
         self.env = env
         self.namenode = namenode
-        self.rng = rng or RandomSource(0)
         self.config = config or IgnemConfig()
+        self.core = MasterCore(rng or RandomSource(0), self.config)
         self.collector = collector or MetricsCollector()
         self.metrics = registry or MetricsRegistry()
         #: Message transport carrying master→slave commands.  ``None``
@@ -93,9 +230,6 @@ class IgnemMaster:
         self.alive = True
 
         self._slaves: Dict[str, IgnemSlave] = {}
-        #: (job_id, block_id) -> slave nodes chosen for its migration, so
-        #: eviction commands go exactly where the block went.
-        self._assignments: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         #: Fault hook (set by the fault injector): called with the target
         #: node per delivery attempt; returning ``"lost"`` drops that
         #: attempt.  ``None`` is the zero-overhead clean path.
@@ -143,9 +277,6 @@ class IgnemMaster:
             raise ValueError(f"duplicate slave {slave.name!r}")
         self._slaves[slave.name] = slave
 
-    def slave(self, node: str) -> IgnemSlave:
-        return self._slaves[node]
-
     def slaves(self) -> List[IgnemSlave]:
         return list(self._slaves.values())
 
@@ -160,135 +291,51 @@ class IgnemMaster:
     ) -> None:
         """Handle a job submitter's migrate call.
 
-        ``dst_tier`` names the tier the job's blocks should land in;
-        ``None`` uses the configured default (``mem`` — the paper's
-        design).  Requests to a dead master are lost (the client retries
-        against the replacement master in a real deployment; the paper
-        accepts the temporary performance loss, III-A5).
+        Requests to a dead master are lost (the client retries against
+        the replacement master in a real deployment; the paper accepts
+        the temporary performance loss, III-A5).
         """
         if not self.alive:
             return
-        if dst_tier is None:
-            dst_tier = self.config.migration_tier
-        elif dst_tier not in self.config.destination_tiers():
-            raise ValueError(
-                f"{dst_tier!r} is not a configured migration destination "
-                f"(destinations: {', '.join(self.config.destination_tiers())})"
-            )
-        self._c_migration_requests.inc()
-        job_input_bytes = self.namenode.total_bytes(paths)
-        submitted_at = self.env.now
-
-        batches: Dict[str, List[MigrationWorkItem]] = {}
         namenode = self.namenode
-        slaves = self._slaves
-        assignments = self._assignments
-        order_hint = 0
-        for path in paths:
-            for block in namenode.file_blocks(path):
-                locations = namenode.get_block_locations(block.block_id)
-                usable = [node for node in locations if node in slaves]
-                if not usable:
-                    continue
-                key = (job_id, block.block_id)
-                previous = [
-                    node for node in assignments.get(key, ()) if node in usable
-                ]
-                if previous:
-                    # A duplicate migrate call (client retry) must reuse
-                    # the earlier replica choice, or the eviction would
-                    # only reach the latest choice and leak the first.
-                    chosen_nodes = previous
-                else:
-                    count = min(self.config.replicas_to_migrate, len(usable))
-                    chosen_nodes = self.rng.sample(sorted(usable), count)
-                # Eviction routing remembers every chosen holder.
-                assignments[key] = tuple(chosen_nodes)
-                for chosen in chosen_nodes:
-                    batches.setdefault(chosen, []).append(
-                        MigrationWorkItem(
-                            block=block,
-                            job_id=job_id,
-                            job_input_bytes=job_input_bytes,
-                            job_submitted_at=submitted_at,
-                            implicit_eviction=implicit_eviction,
-                            order_hint=order_hint,
-                            dst_tier=dst_tier,
-                        )
-                    )
-                order_hint += 1
-
-        for node, items in batches.items():
-            self._send(node, "migrate", MigrateCommand(job_id, tuple(items)))
+        commands = self.core.migrate(
+            job_id,
+            self._holders(
+                [block for path in paths for block in namenode.file_blocks(path)]
+            ),
+            job_input_bytes=namenode.total_bytes(paths),
+            submitted_at=self.env.now,
+            implicit_eviction=implicit_eviction,
+            dst_tier=dst_tier,
+        )
+        self._c_migration_requests.inc()
+        self._ship("migrate", commands)
 
     def request_block_migration(
         self,
-        blocks: Sequence["Block"],
+        blocks: Sequence[Block],
         owner: str,
         dst_tier: Optional[str] = None,
     ) -> None:
-        """Hint-free promotion path: migrate specific blocks for ``owner``.
-
-        Unlike :meth:`request_migration` this is not tied to a job's
-        submission hint — the popularity-driven policy names individual
-        hot blocks directly and owns their references under a pseudo job
-        id (``owner``).  Replica choice, eviction routing, retry/reroute,
-        and the command tap are all shared with the hint path, so the
-        differential model and fault machinery see ordinary commands.
-        """
+        """Hint-free promotion path: migrate specific hot blocks for the
+        popularity policy's pseudo job id ``owner``.  Past the holder
+        lookup it is the hint path, so the differential model and fault
+        machinery see ordinary commands."""
         if not self.alive:
             return
-        if dst_tier is None:
-            dst_tier = self.config.migration_tier
-        elif dst_tier not in self.config.destination_tiers():
-            raise ValueError(
-                f"{dst_tier!r} is not a configured migration destination "
-                f"(destinations: {', '.join(self.config.destination_tiers())})"
-            )
+        is_block = self.namenode.is_block
+        commands = self.core.migrate(
+            owner,
+            # Skip blocks whose file was deleted since the heat sample.
+            self._holders([b for b in blocks if is_block(b.block_id)]),
+            # The promotion wave is priced like one small job: policies
+            # that favor small inputs treat a batch of hot blocks as a unit.
+            job_input_bytes=sum(block.nbytes for block in blocks),
+            submitted_at=self.env.now,
+            dst_tier=dst_tier,
+        )
         self._c_promotion_requests.inc()
-        submitted_at = self.env.now
-        namenode = self.namenode
-        slaves = self._slaves
-        assignments = self._assignments
-        # The promotion wave is priced like one small job: policies that
-        # favor small inputs treat a batch of hot blocks as a unit.
-        total_bytes = sum(block.nbytes for block in blocks)
-
-        batches: Dict[str, List[MigrationWorkItem]] = {}
-        order_hint = 0
-        for block in blocks:
-            if not namenode.is_block(block.block_id):
-                continue  # the file was deleted since the heat sample
-            locations = namenode.get_block_locations(block.block_id)
-            usable = [node for node in locations if node in slaves]
-            if not usable:
-                continue
-            key = (owner, block.block_id)
-            previous = [
-                node for node in assignments.get(key, ()) if node in usable
-            ]
-            if previous:
-                chosen_nodes = previous
-            else:
-                count = min(self.config.replicas_to_migrate, len(usable))
-                chosen_nodes = self.rng.sample(sorted(usable), count)
-            assignments[key] = tuple(chosen_nodes)
-            for chosen in chosen_nodes:
-                batches.setdefault(chosen, []).append(
-                    MigrationWorkItem(
-                        block=block,
-                        job_id=owner,
-                        job_input_bytes=total_bytes,
-                        job_submitted_at=submitted_at,
-                        implicit_eviction=False,
-                        order_hint=order_hint,
-                        dst_tier=dst_tier,
-                    )
-                )
-            order_hint += 1
-
-        for node, items in batches.items():
-            self._send(node, "migrate", MigrateCommand(owner, tuple(items)))
+        self._ship("migrate", commands)
 
     def request_block_eviction(
         self, block_ids: Sequence[str], owner: str
@@ -297,38 +344,41 @@ class IgnemMaster:
         if not self.alive:
             return
         self._c_demotion_requests.inc()
-        batches: Dict[str, List[str]] = {}
-        for block_id in block_ids:
-            nodes = self._assignments.pop((owner, block_id), ())
-            for node in nodes:
-                if node in self._slaves:
-                    batches.setdefault(node, []).append(block_id)
-        for node, ids in batches.items():
-            self._send(node, "evict", EvictCommand(owner, tuple(ids)))
+        self._ship("evict", self.core.evict(owner, block_ids))
 
     def request_eviction(self, paths: Sequence[str], job_id: str) -> None:
         """Handle a job submitter's evict call (job completed)."""
         if not self.alive:
             return
         self._c_eviction_requests.inc()
-        batches: Dict[str, List[str]] = {}
-        for path in paths:
-            if not self.namenode.exists(path):
-                continue
-            for block in self.namenode.file_blocks(path):
-                nodes = self._assignments.pop((job_id, block.block_id), ())
-                for node in nodes:
-                    if node in self._slaves:
-                        batches.setdefault(node, []).append(block.block_id)
-        for node, block_ids in batches.items():
-            self._send(node, "evict", EvictCommand(job_id, tuple(block_ids)))
+        namenode = self.namenode
+        block_ids = [
+            block.block_id
+            for path in paths
+            if namenode.exists(path)
+            for block in namenode.file_blocks(path)
+        ]
+        self._ship("evict", self.core.evict(job_id, block_ids))
+
+    def _holders(self, blocks: List[Block]) -> List[Tuple[Block, List[str]]]:
+        """Pair each block with its live replica holders that run a slave."""
+        locations = self.namenode.get_block_locations
+        slaves = self._slaves
+        return [
+            (block, [n for n in locations(block.block_id) if n in slaves])
+            for block in blocks
+        ]
+
+    def _ship(self, kind: str, commands: Dict[str, object]) -> None:
+        for node, command in commands.items():
+            self._send(node, kind, command)
 
     # -- failure handling -----------------------------------------------------------
 
     def fail(self) -> None:
         """The master process dies; in-flight state is gone."""
         self.alive = False
-        self._assignments.clear()
+        self.core.reset()
 
     def restart(self) -> None:
         """A replacement master starts with empty state; slaves purge
@@ -351,17 +401,7 @@ class IgnemMaster:
         replica (crash-safe migration-queue abandonment)."""
         if self.failure_tap is not None:
             self.failure_tap(node)
-        stale = [
-            (key, nodes)
-            for key, nodes in self._assignments.items()
-            if node in nodes
-        ]
-        for key, nodes in stale:
-            remaining = tuple(n for n in nodes if n != node)
-            if remaining:
-                self._assignments[key] = remaining
-            else:
-                del self._assignments[key]
+        self.core.forget_node(node)
 
     # -- RPC ---------------------------------------------------------------------------
 
@@ -457,48 +497,23 @@ class IgnemMaster:
         """Graceful degradation (III-A5): re-route each block's migration
         to another live replica holder; blocks with no live untried
         replica are abandoned and their routing state dropped."""
-        namenode = self.namenode
-        slaves = self._slaves
-        batches: Dict[str, List[MigrationWorkItem]] = {}
-        for item in command.items:
-            key = (command.job_id, item.block_id)
-            kept = tuple(
-                n for n in self._assignments.get(key, ()) if n != failed_node
-            )
-            usable = [
-                n
-                for n in namenode.get_block_locations(item.block_id)
-                if n in slaves and n not in tried and slaves[n].alive
-            ]
-            if not usable:
-                # Crash-safe abandonment: forget the routing entry rather
-                # than leak it (the job will read from disk instead).
-                if kept:
-                    self._assignments[key] = kept
-                else:
-                    self._assignments.pop(key, None)
-                self._c_abandoned.inc()
-                if self.obs is not None:
-                    self.obs.on_master_command(
-                        "abandoned", failed_node, "migrate", command.job_id
-                    )
-                continue
-            chosen = self.rng.choice(sorted(usable))
-            if chosen in kept:
-                # Another replica of this block is already migrating.
-                self._assignments[key] = kept
-                continue
-            self._assignments[key] = kept + (chosen,)
-            batches.setdefault(chosen, []).append(item)
-        for new_node, items in batches.items():
+        locations = self.namenode.get_block_locations
+        live = {n for n, slave in self._slaves.items() if slave.alive} - tried
+        commands, abandoned = self.core.reroute(
+            command,
+            failed_node,
+            ([n for n in locations(i.block_id) if n in live] for i in command.items),
+        )
+        for _ in range(abandoned):
+            self._c_abandoned.inc()
+            if self.obs is not None:
+                self.obs.on_master_command(
+                    "abandoned", failed_node, "migrate", command.job_id
+                )
+        for new_node, rerouted in commands.items():
             self._c_rerouted.inc()
             if self.obs is not None:
                 self.obs.on_master_command(
                     "rerouted", new_node, "migrate", command.job_id
                 )
-            self._send(
-                new_node,
-                "migrate",
-                MigrateCommand(command.job_id, tuple(items)),
-                tried=tried,
-            )
+            self._send(new_node, "migrate", rerouted, tried=tried)

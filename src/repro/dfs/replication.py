@@ -37,7 +37,7 @@ from ..sim.events import Event
 from ..sim.rand import RandomSource
 from .blocks import Block
 from .datanode import DataNodeError
-from .namenode import NameNode
+from .namenode import NameNode, NameNodeError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.api import Observability
@@ -499,7 +499,7 @@ class ReplicationMonitor:
         nn = self.namenode
         try:
             dn = nn.datanode(node)
-        except Exception:
+        except NameNodeError:
             return None
         if not dn.alive or node in self._decommissioning:
             return None
@@ -554,7 +554,7 @@ class ReplicationMonitor:
             nn = self.namenode
             try:
                 dn = nn.datanode(node)
-            except Exception:
+            except NameNodeError:
                 # Node vanished from the namespace (e.g. killed and
                 # removed); nothing left to drain but the decommission
                 # can never complete cleanly.

@@ -69,6 +69,11 @@ def _write_frame(writer: asyncio.StreamWriter, envelope: dict) -> None:
     writer.write(_HEADER.pack(len(payload)) + payload)
 
 
+def _expire(future: asyncio.Future, reason: str) -> None:
+    if not future.done():
+        future.set_exception(NetworkError(reason))
+
+
 class _Peer:
     """One persistent client connection to a remote endpoint."""
 
@@ -259,13 +264,21 @@ class AsyncioTransport(Transport):
             raise NetworkError(f"send to {endpoint!r} failed: {exc}") from exc
         if not rsvp:
             return None
+        # Await the bare future under a timer rather than through
+        # ``asyncio.wait_for``: on Python < 3.12 that drops a cancel
+        # which lands in the same loop turn as the reply, so a cancelled
+        # caller (a heartbeat loop being stopped) would run on.
+        timer = asyncio.get_running_loop().call_later(
+            self.reply_timeout,
+            _expire,
+            future,
+            f"no reply from {endpoint!r} within {self.reply_timeout}s",
+        )
         try:
-            return await asyncio.wait_for(future, self.reply_timeout)
-        except asyncio.TimeoutError as exc:
+            return await future
+        finally:
+            timer.cancel()
             peer.pending.pop(mid, None)
-            raise NetworkError(
-                f"no reply from {endpoint!r} within {self.reply_timeout}s"
-            ) from exc
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -9,12 +9,14 @@ Zipf-skewed read phase from disk, migrate the hot files up via the
 master (the paper's ``client.migrate``), then serve a second phase and
 measure how many reads came from RAM.
 
-This is the same protocol the simulator speaks — the services handle
-:mod:`~repro.transport.messages` — with real bytes, real sockets, and
-real concurrency.  It is deliberately small: the sim remains the
-instrument for performance claims; the real backend proves the protocol
-is honest (nothing in it depends on simulator internals) and gives the
-fault-finding tools genuine races to hunt.
+The services speak the simulator's protocol
+(:mod:`~repro.transport.messages`), and both backends run one master
+core: :class:`MasterService` drives the same
+:class:`~repro.core.master.MasterCore` (replica choice and eviction
+routing) as the simulated master, for all four client requests.  The
+DataNode is still a stand-in for the Ignem slave: it copies a block to
+RAM before it acks, with no migration queue, no smallest-job-first
+order, no do-not-harm wait and no buffer cap.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.commands import EvictCommand, MigrateCommand, MigrationWorkItem
+from ..core.commands import MigrateCommand
+from ..core.config import IgnemConfig
+from ..core.master import MasterCore
 from ..dfs.blocks import Block
 from ..sim.rand import RandomSource
 from .aio import AsyncioTransport
@@ -250,89 +254,64 @@ class NameNodeService:
 
 
 class MasterService:
-    """The Ignem master as a real service: file→block fan-out of
-    migrate/evict commands, with per-(owner, block) eviction routing."""
+    """The Ignem master as a real service: :class:`MasterCore`'s asyncio
+    driver.  It resolves files and replica holders from the NameNode over
+    the transport, lets the core choose, and sends the batches to the
+    DataNodes before it acks the client."""
 
     def __init__(self, transport: AsyncioTransport, seed: int = 0):
         self.transport = transport
-        self.rng = RandomSource(seed)
-        self.assignments: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        self.core = MasterCore(RandomSource(seed), IgnemConfig())
 
     async def start(self) -> None:
         await self.transport.serve("master", self.handle_message)
 
     async def handle_message(self, msg):
+        now = asyncio.get_running_loop().time()
         if isinstance(msg, MigrateFilesRequest):
-            items_by_node: Dict[str, List[MigrationWorkItem]] = {}
-            order_hint = 0
-            for path in msg.paths:
-                info = await self.transport.request(
-                    "namenode", FileInfoRequest(path)
-                )
-                if not info.exists:
-                    continue
-                for placement in info.blocks:
-                    locations = await self.transport.request(
-                        "namenode", LocationsRequest(placement.block_id)
-                    )
-                    if not locations.nodes:
-                        continue
-                    key = (msg.job_id, placement.block_id)
-                    chosen = self.assignments.get(key)
-                    if chosen is None:
-                        chosen = (self.rng.choice(sorted(locations.nodes)),)
-                        self.assignments[key] = chosen
-                    for node in chosen:
-                        items_by_node.setdefault(node, []).append(
-                            MigrationWorkItem(
-                                block=Block(
-                                    block_id=placement.block_id,
-                                    path=path,
-                                    index=placement.index,
-                                    nbytes=placement.nbytes,
-                                ),
-                                job_id=msg.job_id,
-                                job_input_bytes=placement.nbytes,
-                                job_submitted_at=0.0,
-                                implicit_eviction=msg.implicit_eviction,
-                                order_hint=order_hint,
-                                dst_tier=msg.dst_tier or "mem",
-                            )
-                        )
-                    order_hint += 1
-            for node, items in items_by_node.items():
-                await self.transport.request(
-                    f"datanode/{node}",
-                    MigrateMsg(MigrateCommand(msg.job_id, tuple(items))),
-                )
-            return Ack(True)
-        if isinstance(msg, (EvictFilesRequest, DemoteBlocksRequest)):
-            if isinstance(msg, EvictFilesRequest):
-                owner = msg.job_id
-                block_ids = []
-                for path in msg.paths:
-                    info = await self.transport.request(
-                        "namenode", FileInfoRequest(path)
-                    )
-                    block_ids.extend(p.block_id for p in info.blocks)
-            else:
-                owner = msg.owner
-                block_ids = list(msg.block_ids)
-            by_node: Dict[str, List[str]] = {}
-            for block_id in block_ids:
-                for node in self.assignments.pop((owner, block_id), ()):
-                    by_node.setdefault(node, []).append(block_id)
-            for node, ids in by_node.items():
-                await self.transport.request(
-                    f"datanode/{node}",
-                    EvictMsg(EvictCommand(owner, tuple(ids))),
-                )
-            return Ack(True)
-        if isinstance(msg, PromoteBlocksRequest):
-            # The real demo promotes whole files; block-level promotion
-            # reuses the file machinery once the heat policy runs real.
-            return Ack(True)
-        raise TypeError(f"master cannot handle {type(msg).__name__}")
+            blocks = await self._file_blocks(msg.paths)
+            commands = self.core.migrate(
+                msg.job_id,
+                await self._holders(blocks),
+                job_input_bytes=sum(block.nbytes for block in blocks),
+                submitted_at=now,
+                implicit_eviction=msg.implicit_eviction,
+                dst_tier=msg.dst_tier,
+            )
+        elif isinstance(msg, PromoteBlocksRequest):
+            commands = self.core.migrate(
+                msg.owner,
+                await self._holders(msg.blocks),
+                job_input_bytes=sum(block.nbytes for block in msg.blocks),
+                submitted_at=now,
+                dst_tier=msg.dst_tier,
+            )
+        elif isinstance(msg, EvictFilesRequest):
+            blocks = await self._file_blocks(msg.paths)
+            commands = self.core.evict(msg.job_id, [b.block_id for b in blocks])
+        elif isinstance(msg, DemoteBlocksRequest):
+            commands = self.core.evict(msg.owner, msg.block_ids)
+        else:
+            raise TypeError(f"master cannot handle {type(msg).__name__}")
+        for node, command in commands.items():
+            wrap = MigrateMsg if isinstance(command, MigrateCommand) else EvictMsg
+            await self.transport.request(f"datanode/{node}", wrap(command))
+        return Ack(True)
+
+    async def _file_blocks(self, paths) -> List[Block]:
+        request = self.transport.request
+        return [
+            Block(p.block_id, path, p.index, p.nbytes)
+            for path in paths
+            for p in (await request("namenode", FileInfoRequest(path))).blocks
+        ]
+
+    async def _holders(self, blocks) -> List[Tuple[Block, Tuple[str, ...]]]:
+        request = self.transport.request
+        replies = [
+            await request("namenode", LocationsRequest(b.block_id)) for b in blocks
+        ]
+        return [(b, reply.nodes) for b, reply in zip(blocks, replies)]
 
 
 @dataclass
@@ -483,10 +462,8 @@ async def _run_demo(
                 locations = await transport.request(
                     "namenode", LocationsRequest(placement.block_id)
                 )
-                serving = (
-                    rng.choice(sorted(locations.memory_nodes))
-                    if locations.memory_nodes
-                    else rng.choice(sorted(locations.nodes))
+                serving = rng.choice(
+                    sorted(locations.memory_nodes or locations.nodes)
                 )
                 reply = await transport.request(
                     f"datanode/{serving}", BlockReadRequest(placement.block_id)

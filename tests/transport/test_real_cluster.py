@@ -4,9 +4,17 @@ Small configs keep this in CI-smoke territory: three DataNodes, a few
 multi-block files, enough reads per phase to exercise the Zipf head.
 """
 
+import asyncio
+
 import pytest
 
-from repro.transport.real import block_payload, run_real_demo
+from repro.transport.aio import AsyncioTransport
+from repro.transport.real import (
+    DataNodeService,
+    NameNodeService,
+    block_payload,
+    run_real_demo,
+)
 
 
 class TestRealDemo:
@@ -46,6 +54,35 @@ class TestRealDemo:
     def test_fewer_than_three_nodes_rejected(self):
         with pytest.raises(ValueError, match="3"):
             run_real_demo(nodes=2)
+
+
+class TestDataNodeStop:
+    def test_stop_returns_while_heartbeats_are_in_flight(self):
+        """A stop whose cancel lands in the same loop turn as a heartbeat
+        reply must still end the heartbeat loop (20 cycles at a zero
+        interval, each stop within 1 s)."""
+
+        async def cycles():
+            hung = []
+            for cycle in range(20):
+                transport = AsyncioTransport()
+                await NameNodeService(transport, ("node0",)).start()
+                datanode = DataNodeService("node0", transport)
+                await datanode.start(heartbeat_interval=0)
+                await asyncio.sleep(0.01)
+                stopping = asyncio.ensure_future(datanode.stop())
+                done, _ = await asyncio.wait([stopping], timeout=1.0)
+                if not done:
+                    hung.append(cycle)
+                    for _ in range(50):
+                        stopping.cancel()
+                        done, _ = await asyncio.wait([stopping], timeout=0.2)
+                        if done:
+                            break
+                await transport.close()
+            return hung
+
+        assert asyncio.run(cycles()) == []
 
 
 class TestBlockPayload:
