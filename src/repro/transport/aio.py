@@ -2,15 +2,22 @@
 
 Each endpoint is an ``asyncio`` TCP server on ``127.0.0.1`` with an
 OS-assigned port, found through an in-process directory (name →
-address).  Frames are 4-byte big-endian length prefixes followed by a
-JSON envelope::
+address).  Every frame is the codec's frame
+(:func:`~repro.transport.messages.encode_frame`, protocol version 2)::
 
-    {"v": 1, "mid": 7, "rsvp": true, "kind": "MigrateMsg", "body": {...}}
+    >II prefix       header length, payload length
+    header           canonical JSON: {"v": 2, "mid": 7, "rsvp": true,
+                     "kind": "BlockReadReply", "body": {..., "data":
+                     {"__b__": [0, 262144]}}}
+    payload          the raw bytes fields, back to back
 
-Replies echo the message id: ``{"v": 1, "re": 7, "kind": ..., "body":
-...}`` (or ``{"re": 7, "err": "..."}`` when the handler raised).
-Request/reply matching is by ``mid``, so one persistent connection per
-(caller, endpoint) pair multiplexes any number of in-flight requests.
+Replies echo the message id: ``{"v": 2, "re": 7, "kind": ..., "body":
+...}`` (or ``{"v": 2, "re": 7, "err": "..."}`` when the handler
+raised).  Request/reply matching is by ``mid``, so one persistent
+connection per (caller, endpoint) pair multiplexes any number of
+in-flight requests.  A block payload goes to the socket as the same
+``bytes`` object the message holds, and comes off it with one
+``readexactly``: no text encoding and no copy into a frame buffer.
 
 Delivery guarantees:
 
@@ -21,8 +28,15 @@ Delivery guarantees:
 * **no cross-endpoint ordering** — messages to different endpoints
   race, exactly like independent sockets;
 * **errors surface as** :class:`~repro.net.network.NetworkError` — an
-  unknown endpoint, a refused/reset connection, a handler crash, or a
-  reply timeout all raise it, mirroring the sim's failure surface.
+  unknown endpoint, a refused/reset connection, a handler crash, an
+  undecodable reply, or a reply timeout all raise it, mirroring the
+  sim's failure surface;
+* **a bad frame costs one connection** — a frame that cannot be framed
+  (oversized, or a header that is not a JSON object) closes the
+  connection it came on; the endpoint keeps serving, and the caller's
+  pending requests on that connection fail with ``NetworkError``.  A
+  well-framed request whose message does not decode gets an error
+  reply and the connection stays up.
 
 Handlers may be plain functions or coroutines; replies are codec-encoded
 messages, so anything the wire format carries can cross the socket.
@@ -32,41 +46,49 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
-import struct
 from typing import Dict, Optional, Tuple
 
 from .base import NetworkError, Transport
-from .messages import decode_obj, encode_obj
+from .messages import (
+    FRAME_PREFIX,
+    CodecError,
+    decode_body,
+    decode_header,
+    encode_frame,
+)
 
 __all__ = ["AsyncioTransport", "NetworkError"]
 
-_HEADER = struct.Struct(">I")
-#: Frames beyond this are a protocol error (a block plus envelope
-#: overhead fits comfortably; this bounds a malformed length prefix).
+#: Frames beyond this are a protocol error (a block plus its header fits
+#: comfortably; this bounds a malformed length prefix).
 MAX_FRAME = 64 * 1024 * 1024
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
+async def _read_frame(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[dict, bytes]]:
+    """Next ``(envelope, payload section)`` off the stream; ``None`` at
+    EOF or a reset.  Raises :class:`CodecError` when the stream cannot be
+    framed: an oversized length prefix, or a header that is not a JSON
+    object."""
     try:
-        header = await reader.readexactly(_HEADER.size)
+        prefix = await reader.readexactly(FRAME_PREFIX.size)
+        header_len, payload_len = FRAME_PREFIX.unpack(prefix)
+        if header_len + payload_len > MAX_FRAME:
+            raise CodecError(
+                f"oversized frame ({header_len} + {payload_len} bytes)"
+            )
+        header = await reader.readexactly(header_len)
+        payload = await reader.readexactly(payload_len)
     except (asyncio.IncompleteReadError, ConnectionError):
         return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise NetworkError(f"oversized frame ({length} bytes)")
-    try:
-        payload = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionError):
-        return None
-    return json.loads(payload.decode("utf-8"))
+    return decode_header(header), payload
 
 
-def _write_frame(writer: asyncio.StreamWriter, envelope: dict) -> None:
-    payload = json.dumps(
-        envelope, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    writer.write(_HEADER.pack(len(payload)) + payload)
+def _write_frame(writer: asyncio.StreamWriter, chunks) -> None:
+    # One write per chunk: ``writelines`` joins them into a new buffer.
+    for chunk in chunks:
+        writer.write(chunk)
 
 
 def _expire(future: asyncio.Future, reason: str) -> None:
@@ -138,12 +160,17 @@ class AsyncioTransport(Transport):
             self._conn_tasks.setdefault(name, set()).add(task)
         try:
             while True:
-                envelope = await _read_frame(reader)
-                if envelope is None:
+                frame = await _read_frame(reader)
+                if frame is None:
                     return
-                await self._handle_frame(name, envelope, writer)
+                await self._handle_frame(name, *frame, writer)
                 await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
+        except (ConnectionError, CodecError, asyncio.CancelledError):
+            # An unframeable frame leaves the stream out of step: drop
+            # this connection only; the endpoint keeps serving.  A cancel
+            # (from ``stop``) ends here too: on Python 3.11 the server's
+            # done-callback calls ``task.exception()``, which raises on a
+            # cancelled task.
             return
         finally:
             if task is not None:
@@ -153,30 +180,23 @@ class AsyncioTransport(Transport):
             except RuntimeError:
                 pass  # event loop already torn down
 
-    async def _handle_frame(self, name: str, envelope: dict, writer) -> None:
+    async def _handle_frame(
+        self, name: str, envelope: dict, payload: bytes, writer
+    ) -> None:
         mid = envelope.get("mid")
         rsvp = envelope.get("rsvp", False)
         try:
-            message = decode_obj(
-                {
-                    "v": envelope.get("v"),
-                    "kind": envelope.get("kind"),
-                    "body": envelope.get("body"),
-                }
-            )
-            handler = self._handler(name)
-            reply = handler(message)
+            message = decode_body(envelope, payload)
+            if message is None:
+                raise CodecError("request frame carries no message")
+            reply = self._handler(name)(message)
             if asyncio.iscoroutine(reply):
                 reply = await reply
+            if rsvp:
+                _write_frame(writer, encode_frame(reply, re=mid))
         except Exception as exc:
             if rsvp:
-                _write_frame(writer, {"re": mid, "err": f"{exc}"})
-            return
-        if rsvp:
-            out = {"re": mid}
-            if reply is not None:
-                out.update(encode_obj(reply))
-            _write_frame(writer, out)
+                _write_frame(writer, encode_frame(re=mid, err=f"{exc}"))
 
     # -- calling -----------------------------------------------------------------
 
@@ -206,10 +226,12 @@ class AsyncioTransport(Transport):
     async def _consume_replies(self, endpoint: str, peer: _Peer) -> None:
         try:
             while True:
-                envelope = await _read_frame(peer.reader)
-                if envelope is None:
+                frame = await _read_frame(peer.reader)
+                if frame is None:
                     break
-                future = peer.pending.pop(envelope.get("re"), None)
+                envelope, payload = frame
+                mid = envelope.get("re")  # any JSON value: check before hashing
+                future = peer.pending.pop(mid, None) if type(mid) is int else None
                 if future is None or future.done():
                     continue
                 if "err" in envelope:
@@ -218,8 +240,17 @@ class AsyncioTransport(Transport):
                             f"{endpoint!r} failed: {envelope['err']}"
                         )
                     )
-                else:
-                    future.set_result(envelope)
+                    continue
+                try:
+                    future.set_result(decode_body(envelope, payload))
+                except CodecError as exc:
+                    future.set_exception(
+                        NetworkError(f"bad reply from {endpoint!r}: {exc}")
+                    )
+        except CodecError:
+            # The stream is out of step: close it; the next request
+            # reconnects and the pending ones fail below.
+            peer.writer.close()
         finally:
             failure = NetworkError(f"connection to {endpoint!r} lost")
             for future in peer.pending.values():
@@ -228,17 +259,7 @@ class AsyncioTransport(Transport):
             peer.pending.clear()
 
     async def request(self, endpoint: str, message):
-        envelope = await self._roundtrip(endpoint, message, rsvp=True)
-        if envelope.get("kind") is None:
-            reply = None
-        else:
-            reply = decode_obj(
-                {
-                    "v": envelope.get("v"),
-                    "kind": envelope.get("kind"),
-                    "body": envelope.get("body"),
-                }
-            )
+        reply = await self._roundtrip(endpoint, message, rsvp=True)
         self._note(endpoint, message, reply)
         return reply
 
@@ -249,15 +270,13 @@ class AsyncioTransport(Transport):
     async def _roundtrip(self, endpoint: str, message, rsvp: bool):
         peer = await self._peer(endpoint)
         mid = next(self._mids)
-        envelope = encode_obj(message)
-        envelope["mid"] = mid
-        envelope["rsvp"] = rsvp
+        chunks = encode_frame(message, mid=mid, rsvp=rsvp)
         future = None
         if rsvp:
             future = asyncio.get_running_loop().create_future()
             peer.pending[mid] = future
         try:
-            _write_frame(peer.writer, envelope)
+            _write_frame(peer.writer, chunks)
             await peer.writer.drain()
         except (ConnectionError, OSError) as exc:
             peer.pending.pop(mid, None)

@@ -8,17 +8,35 @@ one of the dataclasses below.  The message set is derived from
 NameNode/DataNode call surface; a message is the unit a
 :class:`~repro.transport.base.Transport` carries.
 
-The codec serialises any message to a self-describing JSON document
-``{"v": 1, "kind": "<ClassName>", "body": {...}}`` and back.  Nested
-domain objects (:class:`~repro.dfs.blocks.Block`,
+The codec turns any message into one frame of three parts::
+
+    prefix    8 bytes: header length, payload length (``>II``)
+    header    canonical JSON (sorted keys, compact separators):
+              {"v": 2, "kind": "<ClassName>", "body": {...}} plus the
+              transport's routing keys (``mid``, ``rsvp``, ``re``, ``err``)
+    payload   every ``bytes`` field, raw, back to back
+
+In the header each ``bytes`` field is a reference ``{"__b__": [offset,
+length]}`` into the payload section.  References appear in header order
+and tile the section exactly, so a frame has one encoding: a reference
+outside the section, out of order, or payload bytes no field names are
+a :class:`CodecError`.  Nested domain objects
+(:class:`~repro.dfs.blocks.Block`,
 :class:`~repro.core.commands.MigrationWorkItem`,
 :class:`~repro.core.commands.MigrateCommand`,
 :class:`~repro.core.commands.EvictCommand`) travel as tagged dicts;
-``bytes`` payloads are base64; JSON lists decode back to tuples so a
-decoded message compares equal to the original.  ``MigrationWorkItem``
-is reconstructed with its ``seq`` and ``received_at`` passed explicitly
-— decoding must never consume the global sequence counter, or wire
-round-trips would perturb priority tie-breaks in the simulator.
+JSON lists decode back to tuples so a decoded message compares equal to
+the original.  ``MigrationWorkItem`` is reconstructed with its ``seq``
+and ``received_at`` passed explicitly — decoding must never consume the
+global sequence counter, or wire round-trips would perturb priority
+tie-breaks in the simulator.
+
+:func:`encode` and :func:`decode` are the whole-frame pair.  The
+asyncio backend uses their two halves directly: :func:`encode_frame`
+returns the frame as chunks, so a block payload reaches the socket as
+the very ``bytes`` object the message holds, and
+:func:`decode_header` / :func:`decode_body` read a header and payload
+that arrive as separate ``readexactly`` results.
 
 The ``SimTransport`` never serialises (it hands the original objects to
 the destination, preserving delivery identity); the codec is the wire
@@ -27,17 +45,17 @@ format of the asyncio backend and the round-trip property suite.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
+import struct
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.commands import EvictCommand, MigrateCommand, MigrationWorkItem
 from ..dfs.blocks import Block
 
 #: Bumped on any incompatible change to the message set or encoding.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class CodecError(Exception):
@@ -259,39 +277,92 @@ _BY_KIND = {t.__name__: t for t in _WIRE_TYPES}
 
 # -- codec -------------------------------------------------------------------------
 
+#: Frame prefix: header length, then payload length (big-endian uint32).
+FRAME_PREFIX = struct.Struct(">II")
 
-def _to_jsonable(value):
+#: Field names per wire type in sorted order: the order the canonical
+#: header lists them, and so the order ``bytes`` fields fill the payload.
+_FIELDS = {
+    t: tuple(sorted(f.name for f in dataclasses.fields(t))) for t in _WIRE_TYPES
+}
+
+
+class _Payload:
+    """A frame's payload section: its ``bytes`` fields, in header order.
+
+    Encoding appends each field and returns its ``{"__b__": [offset,
+    length]}`` reference; decoding takes the fields back in the same
+    order.  Each reference must start where the last one ended, so the
+    references tile the section exactly: a frame has one encoding."""
+
+    __slots__ = ("chunks", "data", "size")
+
+    def __init__(self, data=b""):
+        self.chunks = []
+        self.data = data
+        #: Bytes appended (encoding) or taken (decoding) so far.
+        self.size = 0
+
+    def put(self, value: bytes) -> dict:
+        ref = {"__b__": [self.size, len(value)]}
+        self.chunks.append(value)
+        self.size += len(value)
+        return ref
+
+    def take(self, ref) -> bytes:
+        if not (
+            isinstance(ref, list)
+            and len(ref) == 2
+            and all(type(n) is int and n >= 0 for n in ref)
+        ):
+            raise CodecError(f"malformed payload reference {ref!r}")
+        offset, length = ref
+        if offset + length > len(self.data):
+            raise CodecError(
+                f"payload reference {ref!r} outside the payload section "
+                f"({len(self.data)} bytes)"
+            )
+        if offset != self.size:
+            raise CodecError(
+                f"payload reference {ref!r} out of order (next offset {self.size})"
+            )
+        self.size += length
+        # A copy unless the field is the whole section: never a view
+        # that pins the frame buffer.
+        return bytes(self.data[offset:self.size])
+
+
+def _to_jsonable(value, payload: _Payload):
     if isinstance(value, bytes):
-        return {"__b__": base64.b64encode(value).decode("ascii")}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        kind = type(value).__name__
-        if kind not in _BY_KIND:
-            raise CodecError(f"unregistered wire type {kind!r}")
-        body = {
-            f.name: _to_jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        return {"__t__": kind, **body}
+        return payload.put(value)
+    names = _FIELDS.get(type(value))
+    if names is not None:
+        body = {"__t__": type(value).__name__}
+        for name in names:
+            body[name] = _to_jsonable(getattr(value, name), payload)
+        return body
     if isinstance(value, (list, tuple)):
-        return [_to_jsonable(item) for item in value]
+        return [_to_jsonable(item, payload) for item in value]
     if isinstance(value, dict):
-        return {key: _to_jsonable(item) for key, item in value.items()}
+        return {key: _to_jsonable(value[key], payload) for key in sorted(value)}
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        raise CodecError(f"unregistered wire type {type(value).__name__!r}")
     raise CodecError(f"cannot encode {type(value).__name__}: {value!r}")
 
 
-def _from_jsonable(value):
+def _from_jsonable(value, payload: _Payload):
     if isinstance(value, dict):
         if "__b__" in value and len(value) == 1:
-            return base64.b64decode(value["__b__"])
+            return payload.take(value["__b__"])
         if "__t__" in value:
             kind = value["__t__"]
             cls = _BY_KIND.get(kind)
             if cls is None:
                 raise CodecError(f"unknown wire type {kind!r}")
             fields = {
-                key: _from_jsonable(item)
+                key: _from_jsonable(item, payload)
                 for key, item in value.items()
                 if key != "__t__"
             }
@@ -299,50 +370,96 @@ def _from_jsonable(value):
                 return cls(**fields)
             except TypeError as exc:
                 raise CodecError(f"malformed {kind} body: {exc}") from exc
-        return {key: _from_jsonable(item) for key, item in value.items()}
+        return {key: _from_jsonable(item, payload) for key, item in value.items()}
     if isinstance(value, list):
-        return tuple(_from_jsonable(item) for item in value)
+        return tuple(_from_jsonable(item, payload) for item in value)
     return value
 
 
-def encode_obj(message) -> dict:
-    """Message → envelope dict ``{"v", "kind", "body"}``."""
-    kind = type(message).__name__
-    if kind not in _BY_KIND:
-        raise CodecError(f"unknown message type {kind!r}")
-    wire = _to_jsonable(message)
-    wire.pop("__t__")
-    return {"v": PROTOCOL_VERSION, "kind": kind, "body": wire}
+def encode_frame(message=None, **envelope) -> List[bytes]:
+    """Message → one frame, as the chunks a socket writer sends in order:
+    the prefix and header together, then each ``bytes`` field as-is.
+
+    ``envelope`` adds routing keys (``mid``, ``rsvp``, ``re``, ``err``)
+    to the header; with ``message=None`` the header carries no ``kind``
+    (a reply with no message, or an error)."""
+    payload = _Payload()
+    if message is not None:
+        kind = type(message).__name__
+        if kind not in _BY_KIND:
+            raise CodecError(f"unknown message type {kind!r}")
+        body = _to_jsonable(message, payload)
+        del body["__t__"]
+        envelope["kind"] = kind
+        envelope["body"] = body
+    envelope["v"] = PROTOCOL_VERSION
+    header = json.dumps(envelope, sort_keys=True, separators=(",", ":")).encode(
+        "utf-8"
+    )
+    return [FRAME_PREFIX.pack(len(header), payload.size) + header, *payload.chunks]
 
 
-def decode_obj(envelope: dict):
-    """Envelope dict → message (inverse of :func:`encode_obj`)."""
+def decode_header(header: bytes) -> dict:
+    """Header section → envelope dict (routing keys, ``v``, and ``kind``
+    and ``body`` when the frame carries a message)."""
+    try:
+        envelope = json.loads(header.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
+        raise CodecError(f"undecodable header: {exc}") from exc
     if not isinstance(envelope, dict):
-        raise CodecError(f"envelope must be a dict, got {type(envelope).__name__}")
+        raise CodecError(f"header must be an object, got {type(envelope).__name__}")
+    return envelope
+
+
+def decode_body(envelope: dict, payload):
+    """Envelope plus payload section → message, or ``None`` for a frame
+    whose header has no ``kind``.  Every decoded ``bytes`` field is its
+    own ``bytes`` object."""
     version = envelope.get("v")
     if version != PROTOCOL_VERSION:
         raise CodecError(
             f"unsupported protocol version {version!r} "
             f"(this build speaks {PROTOCOL_VERSION})"
         )
-    kind = envelope.get("kind")
-    body = envelope.get("body")
-    if kind not in _BY_KIND or not isinstance(body, dict):
-        raise CodecError(f"malformed envelope: kind={kind!r}")
-    return _from_jsonable({"__t__": kind, **body})
+    section = _Payload(payload)
+    message = None
+    if "kind" in envelope or "body" in envelope:
+        kind = envelope.get("kind")
+        body = envelope.get("body")
+        if kind not in _BY_KIND or not isinstance(body, dict):
+            raise CodecError(f"malformed envelope: kind={kind!r}")
+        try:
+            message = _from_jsonable({**body, "__t__": kind}, section)
+        except RecursionError as exc:
+            raise CodecError(f"{kind} body nested too deeply") from exc
+    if section.size != len(payload):
+        raise CodecError(
+            f"{len(payload) - section.size} payload bytes no field references"
+        )
+    return message
 
 
 def encode(message) -> bytes:
-    """Message → canonical JSON bytes (sorted keys, compact separators)."""
-    return json.dumps(
-        encode_obj(message), sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    """Message → frame bytes: prefix, canonical-JSON header, payload."""
+    return b"".join(encode_frame(message))
 
 
-def decode(payload: bytes):
-    """JSON bytes → message (inverse of :func:`encode`)."""
-    try:
-        envelope = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CodecError(f"undecodable payload: {exc}") from exc
-    return decode_obj(envelope)
+def decode(frame: bytes):
+    """Frame bytes → message (inverse of :func:`encode`)."""
+    if len(frame) < FRAME_PREFIX.size:
+        raise CodecError(f"truncated frame: {len(frame)}-byte prefix")
+    header_len, payload_len = FRAME_PREFIX.unpack_from(frame)
+    start = FRAME_PREFIX.size + header_len
+    if start + payload_len > len(frame):
+        raise CodecError(
+            f"truncated frame: {len(frame)} of {start + payload_len} bytes"
+        )
+    if start + payload_len < len(frame):
+        raise CodecError(
+            f"{len(frame) - start - payload_len} trailing bytes after the frame"
+        )
+    envelope = decode_header(frame[FRAME_PREFIX.size:start])
+    message = decode_body(envelope, memoryview(frame)[start:])
+    if message is None:
+        raise CodecError("malformed envelope: kind=None")
+    return message

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.commands import EvictCommand, MigrateCommand, MigrationWorkItem
 from repro.dfs.blocks import Block
 from repro.transport.messages import (
+    FRAME_PREFIX,
     PROTOCOL_VERSION,
     Ack,
     BlockPlacement,
@@ -217,14 +218,82 @@ def test_round_trip_identity(message):
     assert decoded == message
 
 
+def _split(frame):
+    """Frame → (header dict, header bytes, payload section)."""
+    header_len, payload_len = FRAME_PREFIX.unpack_from(frame)
+    header = frame[FRAME_PREFIX.size:FRAME_PREFIX.size + header_len]
+    payload = frame[FRAME_PREFIX.size + header_len:]
+    assert len(payload) == payload_len
+    return json.loads(header.decode("utf-8")), header, payload
+
+
+def _frame(envelope, payload=b""):
+    """A hand-built frame around ``envelope`` (need not be canonical)."""
+    header = json.dumps(envelope).encode("utf-8")
+    return FRAME_PREFIX.pack(len(header), len(payload)) + header + payload
+
+
+def _bytes_fields(value):
+    """Every ``bytes`` field of a message, in sorted-field-name order."""
+    if isinstance(value, bytes):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        return [
+            chunk
+            for name in sorted(f.name for f in dataclasses.fields(value))
+            for chunk in _bytes_fields(getattr(value, name))
+        ]
+    if isinstance(value, (list, tuple)):
+        return [chunk for item in value for chunk in _bytes_fields(item)]
+    if isinstance(value, dict):
+        return [chunk for key in sorted(value) for chunk in _bytes_fields(value[key])]
+    return []
+
+
 @given(any_message)
 def test_wire_form_is_canonical_json(message):
-    payload = encode(message)
-    envelope = json.loads(payload.decode("utf-8"))
+    frame = encode(message)
+    envelope, header, payload = _split(frame)
     assert envelope["v"] == PROTOCOL_VERSION
     assert envelope["kind"] == type(message).__name__
-    # Canonical: re-encoding the decoded message reproduces the bytes.
-    assert encode(decode(payload)) == payload
+    # The header is canonical JSON (sorted keys, compact separators)...
+    assert json.dumps(envelope, sort_keys=True, separators=(",", ":")).encode() == header
+    # ...the payload section is the raw bytes fields, back to back...
+    assert payload == b"".join(_bytes_fields(message))
+    # ...and re-encoding the decoded message reproduces the frame.
+    assert encode(decode(frame)) == frame
+
+
+@given(any_message, st.data())
+def test_truncated_frame_rejected(message, data):
+    frame = encode(message)
+    cut = data.draw(st.integers(0, len(frame) - 1))
+    with pytest.raises(CodecError, match="truncated"):
+        decode(frame[:cut])
+
+
+def test_trailing_bytes_rejected():
+    with pytest.raises(CodecError, match="trailing"):
+        decode(encode(Ack()) + b"x")
+
+
+def test_block_reply_wire_overhead_is_one_percent_at_most():
+    """A 256 KB block crosses the wire unencoded: at most 1.01 wire
+    bytes per payload byte (base64-in-JSON took 1.334)."""
+    data = bytes(range(256)) * 1024
+    reply = BlockReadReply(ok=True, tier="mem", nbytes=float(len(data)), data=data)
+    frame = encode(reply)
+    assert len(frame) <= 1.01 * len(data)
+    assert frame.endswith(data)
+
+
+def test_decoded_bytes_do_not_pin_the_frame():
+    frame = bytearray(encode(BlockWriteRequest("b", "/p", 0, b"abcdef")))
+    decoded = decode(frame)
+    assert type(decoded.data) is bytes
+    frame[-6:] = b"zzzzzz"  # mutating the frame leaves the message alone
+    frame.clear()  # and the frame buffer is free to resize
+    assert decoded.data == b"abcdef"
 
 
 @given(work_items())
@@ -257,35 +326,101 @@ def test_binary_payloads_survive(data):
 
 
 def test_wrong_protocol_version_rejected():
-    envelope = json.loads(encode(Ack()).decode())
+    envelope, _, payload = _split(encode(BlockReadReply(ok=True, data=b"blk")))
     envelope["v"] = PROTOCOL_VERSION + 1
     with pytest.raises(CodecError, match="protocol version"):
-        decode(json.dumps(envelope).encode())
+        decode(_frame(envelope, payload))
 
 
 def test_unknown_kind_rejected():
-    payload = json.dumps(
-        {"v": PROTOCOL_VERSION, "kind": "NoSuchMessage", "body": {}}
-    ).encode()
+    frame = _frame({"v": PROTOCOL_VERSION, "kind": "NoSuchMessage", "body": {}})
     with pytest.raises(CodecError, match="malformed envelope"):
-        decode(payload)
+        decode(frame)
 
 
 def test_malformed_body_rejected():
-    payload = json.dumps(
+    frame = _frame(
         {
             "v": PROTOCOL_VERSION,
             "kind": "HeartbeatMsg",
             "body": {"node": "n1"},  # missing seq / tier_blocks
         }
-    ).encode()
+    )
     with pytest.raises(CodecError, match="malformed HeartbeatMsg"):
-        decode(payload)
+        decode(frame)
 
 
 def test_non_json_payload_rejected():
+    bad_header = b"\xff\xfe not json"
+    frame = FRAME_PREFIX.pack(len(bad_header), 0) + bad_header
     with pytest.raises(CodecError, match="undecodable"):
-        decode(b"\xff\xfe not json")
+        decode(frame)
+    # Valid JSON that is not an object is no header either.
+    with pytest.raises(CodecError, match="header must be an object"):
+        decode(_frame([PROTOCOL_VERSION]))
+    # Nor is JSON nested past the parser's recursion limit.
+    deep = b"[" * 100_000 + b"]" * 100_000
+    with pytest.raises(CodecError, match="undecodable"):
+        decode(FRAME_PREFIX.pack(len(deep), 0) + deep)
+
+
+def test_deeply_nested_body_rejected():
+    # 700 levels parse as JSON but are deeper than decoding can recurse.
+    lists = "[" * 700 + "]" * 700
+    header = (
+        f'{{"v":{PROTOCOL_VERSION},"kind":"HeartbeatMsg",'
+        f'"body":{{"node":"n","seq":1,"tier_blocks":{{"mem":{lists}}}}}}}'
+    ).encode()
+    with pytest.raises(CodecError, match="nested too deeply"):
+        decode(FRAME_PREFIX.pack(len(header), 0) + header)
+
+
+def _read_reply_frame(ref, payload):
+    return _frame(
+        {
+            "v": PROTOCOL_VERSION,
+            "kind": "BlockReadReply",
+            "body": {"ok": True, "data": {"__b__": ref}},
+        },
+        payload,
+    )
+
+
+@pytest.mark.parametrize("ref", [[0, 6], [3, 3], [6, 1], [1 << 40, 1]])
+def test_out_of_range_reference_rejected(ref):
+    with pytest.raises(CodecError, match="outside the payload section"):
+        decode(_read_reply_frame(ref, b"abcde"))
+
+
+@pytest.mark.parametrize("ref", [[-1, 2], [0], [0, "5"], "0,5", [0, True]])
+def test_malformed_reference_rejected(ref):
+    with pytest.raises(CodecError, match="malformed payload reference"):
+        decode(_read_reply_frame(ref, b"abcde"))
+
+
+def test_unreferenced_payload_bytes_rejected():
+    with pytest.raises(CodecError, match="no field references"):
+        decode(_read_reply_frame([0, 3], b"abcde"))
+    with pytest.raises(CodecError, match="no field references"):
+        decode(_frame(_split(encode(Ack()))[0], b"extra"))
+
+
+def test_reference_out_of_order_rejected():
+    # Two fields must tile the section in header order.
+    frame = _frame(
+        {
+            "v": PROTOCOL_VERSION,
+            "kind": "HeartbeatMsg",
+            "body": {
+                "node": "n",
+                "seq": 1,
+                "tier_blocks": {"a": {"__b__": [2, 2]}, "b": {"__b__": [0, 2]}},
+            },
+        },
+        b"wxyz",
+    )
+    with pytest.raises(CodecError, match="out of order"):
+        decode(frame)
 
 
 def test_unregistered_type_rejected():

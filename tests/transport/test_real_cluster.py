@@ -9,7 +9,16 @@ import asyncio
 import pytest
 
 from repro.transport.aio import AsyncioTransport
+from repro.transport.messages import (
+    BlockReadReply,
+    BlockReadRequest,
+    BlockWriteRequest,
+    CreateFileRequest,
+    LocationsReply,
+    LocationsRequest,
+)
 from repro.transport.real import (
+    BLOCK_SIZE,
     DataNodeService,
     NameNodeService,
     block_payload,
@@ -93,3 +102,72 @@ class TestBlockPayload:
     def test_payload_length_matches(self):
         for nbytes in (1, 31, 32, 33, 1000):
             assert len(block_payload("b", nbytes)) == nbytes
+
+
+class TestFrameBoundaries:
+    def test_large_and_small_frames_share_connections(self):
+        """Two 256 KB blocks go down a 3-DataNode pipeline; then 50
+        concurrent requests share the multiplexed connections: reads from
+        every holder interleaved with location lookups.  Each reply must
+        be the one for its request (a reply routed to the wrong ``mid``
+        shows up as the wrong type or the wrong block) and each read must
+        return the exact bytes written."""
+        nodes = ("node0", "node1", "node2")
+
+        async def scenario():
+            transport = AsyncioTransport()
+            await NameNodeService(transport, nodes, replication=3).start()
+            datanodes = [DataNodeService(name, transport) for name in nodes]
+            for datanode in datanodes:
+                await datanode.start(heartbeat_interval=60.0)
+            try:
+                created = await transport.request(
+                    "namenode", CreateFileRequest("/f", float(2 * BLOCK_SIZE))
+                )
+                written = {}
+                for placement in created.blocks:
+                    data = block_payload(placement.block_id, BLOCK_SIZE)
+                    head, *rest = placement.nodes
+                    reply = await transport.request(
+                        f"datanode/{head}",
+                        BlockWriteRequest(
+                            block_id=placement.block_id,
+                            path="/f",
+                            index=placement.index,
+                            data=data,
+                            pipeline=tuple(rest),
+                        ),
+                    )
+                    assert sorted(reply.stored) == sorted(nodes)
+                    written[placement.block_id] = data
+                block_ids = sorted(written) + ["/f#ghost"]
+                requests = []
+                for i in range(50):
+                    block_id = block_ids[i % len(block_ids)]
+                    if i % 2:
+                        requests.append(("namenode", LocationsRequest(block_id)))
+                    else:
+                        node = nodes[(i // 2) % len(nodes)]
+                        requests.append(
+                            (f"datanode/{node}", BlockReadRequest(block_id))
+                        )
+                replies = await asyncio.gather(
+                    *(transport.request(endpoint, msg) for endpoint, msg in requests)
+                )
+            finally:
+                for datanode in datanodes:
+                    await datanode.stop()
+                await transport.close()
+            return written, requests, replies
+
+        written, requests, replies = asyncio.run(scenario())
+        assert len(replies) == 50
+        for (_, request), reply in zip(requests, replies):
+            data = written.get(request.block_id)
+            if isinstance(request, LocationsRequest):
+                assert isinstance(reply, LocationsReply)
+                assert sorted(reply.nodes) == (sorted(nodes) if data else [])
+            else:
+                assert isinstance(reply, BlockReadReply)
+                assert reply.ok == (data is not None)
+                assert reply.data == (data or b"")
